@@ -75,12 +75,14 @@ online-smoke:
 # over the concurrent packages (./internal/obs/... covers obs/tsdb and
 # obs/slo; ./internal/fleet covers the shard lifecycle and isolation
 # stress; ./internal/placement/online covers the admitter's concurrent
-# admit/remove against the background resolver), a flexmon smoke run with
+# admit/remove against the background resolver; ./benchmark/ covers the
+# 1-vs-W determinism test, whose W workers drive Pump and StepContext over
+# the shard ingest rings and telemetry views), a flexmon smoke run with
 # the observability surface enabled, the record→replay determinism check,
 # the SLO smoke episode, the fleet smoke emulation, and the
 # latency-attribution smoke, and the online-placement acceptance smoke.
 ci: build vet lint test replay-smoke slo-smoke fleet-smoke latency-smoke online-smoke
-	$(GO) test -race ./internal/telemetry/... ./internal/controller/... ./internal/rackmgr/... ./internal/obs/... ./internal/replay/... ./internal/milp/... ./internal/lp/... ./internal/fleet/... ./internal/emu/... ./internal/placement/online/
+	$(GO) test -race ./internal/telemetry/... ./internal/controller/... ./internal/rackmgr/... ./internal/obs/... ./internal/replay/... ./internal/milp/... ./internal/lp/... ./internal/fleet/... ./internal/emu/... ./internal/placement/online/ ./benchmark/
 	$(GO) run ./cmd/flexmon -quick -metrics -listen 127.0.0.1:0
 
 cover:

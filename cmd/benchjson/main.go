@@ -22,6 +22,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,22 +38,27 @@ type Baseline struct {
 	Commit string `json:"commit,omitempty"`
 	// GeneratedAt is the UTC capture time, RFC 3339.
 	GeneratedAt string `json:"generated_at,omitempty"`
-	// Env holds the `key: value` header lines (goos, goarch, pkg, cpu).
+	// Env holds the `key: value` header lines (goos, goarch, pkg, cpu)
+	// plus the capturing host's gomaxprocs and ncpu.
 	Env map[string]string `json:"env"`
 	// Benchmarks holds one record per result line, in input order.
 	Benchmarks []Record `json:"benchmarks"`
 }
 
 // provenance stamps a freshly parsed baseline with the current git
-// commit and capture time, so two BENCH_*.json files are comparable as
-// points in history. Both stamps are best-effort: outside a git checkout
-// the commit is simply absent.
+// commit, capture time and host parallelism, so two BENCH_*.json files
+// are comparable as points in history on a known host. The commit is
+// best-effort: outside a git checkout it is simply absent. GOMAXPROCS is
+// this process's, which matches the piped benchmark run unless that run
+// set -cpu (the record names carry its -P suffix either way).
 func provenance(b *Baseline) {
 	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
 		b.Commit = strings.TrimSpace(string(out))
 	}
 	var clk clock.Clock = clock.Real{}
 	b.GeneratedAt = clk.Now().UTC().Format(time.RFC3339)
+	b.Env["gomaxprocs"] = strconv.Itoa(runtime.GOMAXPROCS(0))
+	b.Env["ncpu"] = strconv.Itoa(runtime.NumCPU())
 }
 
 // Record is one benchmark result line.
@@ -271,7 +277,8 @@ func compareFiles(oldPath, newPath string, w io.Writer) error {
 		return err
 	}
 	// Lead with both files' provenance so a diff is readable as "commit X
-	// at T1 vs commit Y at T2", not just two anonymous file names.
+	// at T1 on N CPUs vs commit Y at T2 on M CPUs", not just two anonymous
+	// file names.
 	for _, side := range []struct {
 		path string
 		b    *Baseline
@@ -282,6 +289,11 @@ func compareFiles(oldPath, newPath string, w io.Writer) error {
 		}
 		if side.b.GeneratedAt != "" {
 			line += " generated=" + side.b.GeneratedAt
+		}
+		for _, k := range []string{"gomaxprocs", "ncpu"} {
+			if v, ok := side.b.Env[k]; ok {
+				line += " " + k + "=" + v
+			}
 		}
 		fmt.Fprintln(w, line)
 	}

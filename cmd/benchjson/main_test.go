@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -283,6 +285,10 @@ func TestProvenanceStamp(t *testing.T) {
 	if _, err := time.Parse(time.RFC3339, b.GeneratedAt); err != nil {
 		t.Fatalf("GeneratedAt %q is not RFC 3339: %v", b.GeneratedAt, err)
 	}
+	procs, ncpu := strconv.Itoa(runtime.GOMAXPROCS(0)), strconv.Itoa(runtime.NumCPU())
+	if b.Env["gomaxprocs"] != procs || b.Env["ncpu"] != ncpu {
+		t.Fatalf("env gomaxprocs=%q ncpu=%q, want %s and %s", b.Env["gomaxprocs"], b.Env["ncpu"], procs, ncpu)
+	}
 
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "old.json")
@@ -298,8 +304,8 @@ func TestProvenanceStamp(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		oldPath + " commit=aaaa generated=" + b.GeneratedAt,
-		newPath + " commit=bbbb generated=" + b.GeneratedAt,
+		oldPath + " commit=aaaa generated=" + b.GeneratedAt + " gomaxprocs=" + procs + " ncpu=" + ncpu,
+		newPath + " commit=bbbb generated=" + b.GeneratedAt + " gomaxprocs=" + procs + " ncpu=" + ncpu,
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("compare output missing provenance header %q:\n%s", want, got)

@@ -198,20 +198,10 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 
 	c.mu.Lock()
 	c.steps++
-	acted := make(map[string]bool, len(c.acted))
-	for id := range c.acted {
-		acted[id] = true
-	}
 	c.mu.Unlock()
 
 	ups, measuredAt, upsEvents := c.snapshotUPS()
 	inactive := InferInactiveUPSes(c.cfg.Topo, ups, c.cfg.InactiveThreshold)
-	var rackPower map[string]power.Watts
-	if c.cfg.RackEstimator != nil {
-		rackPower = c.cfg.RackEstimator.BoundSnapshot(-1)
-	} else {
-		rackPower = c.cfg.RackView.Snapshot()
-	}
 
 	over := false
 	worst := -1
@@ -231,8 +221,20 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 	rec := c.cfg.Recorder
 	if over {
 		out.Overdraw = true
+		// Only an overdraw round plans, so only it copies the rack view
+		// and the acted set; a clean round builds neither map.
+		var rackPower map[string]power.Watts
+		if c.cfg.RackEstimator != nil {
+			rackPower = c.cfg.RackEstimator.BoundSnapshot(-1)
+		} else {
+			rackPower = c.cfg.RackView.Snapshot()
+		}
 		now := c.cfg.Clock.Now()
 		c.mu.Lock()
+		acted := make(map[string]bool, len(c.acted))
+		for id := range c.acted {
+			acted[id] = true
+		}
 		newEpisode := c.overdrawSince.IsZero()
 		if newEpisode {
 			c.overdrawSince = now

@@ -160,8 +160,8 @@ func (p *Pipeline) PollOnce() {
 }
 
 // SubscribeAll subscribes to a topic on every broker and merges the
-// streams into one deduplicated channel feeding view. The returned cancel
-// function closes the subscriptions.
+// streams, deduplicated, into view. The returned cancel function closes
+// the subscriptions.
 func (p *Pipeline) SubscribeAll(topic string, view *LatestPower) (cancel func()) {
 	dedupe := NewDeduper()
 	var subs []*Subscription
@@ -169,32 +169,23 @@ func (p *Pipeline) SubscribeAll(topic string, view *LatestPower) (cancel func())
 	for _, b := range p.BrokerSet {
 		sub := b.Subscribe(topic, 1024)
 		subs = append(subs, sub)
-		go func(sub *Subscription) {
-			for {
-				select {
-				case s, ok := <-sub.C:
-					if !ok {
-						return
-					}
-					if !dedupe.Fresh(s) {
-						if p.Metrics != nil {
-							p.Metrics.DedupeHits.Inc()
-						}
-						continue
-					}
-					// Stamp the dequeue instant before the view installs the
-					// sample: PublishedAt→DequeuedAt is the queue-wait stage.
-					now := p.Clock.Now()
-					s.DequeuedAt = now
-					view.Update(s)
-					if p.Metrics != nil {
-						p.Metrics.PublishLag.ObserveDuration(now.Sub(s.MeasuredAt))
-					}
-				case <-done:
-					return
+		go consume(sub, done, func(s Sample) bool {
+			if !dedupe.Fresh(s) {
+				if p.Metrics != nil {
+					p.Metrics.DedupeHits.Inc()
 				}
+				return true
 			}
-		}(sub)
+			// Stamp the dequeue instant before the view installs the
+			// sample: PublishedAt→DequeuedAt is the queue-wait stage.
+			now := p.Clock.Now()
+			s.DequeuedAt = now
+			view.Update(s)
+			if p.Metrics != nil {
+				p.Metrics.PublishLag.ObserveDuration(now.Sub(s.MeasuredAt))
+			}
+			return true
+		})
 	}
 	return func() {
 		close(done)

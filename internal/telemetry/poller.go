@@ -208,24 +208,24 @@ type Stamps struct {
 // LatestPower is a thread-safe view of the most recent valid power per
 // device, assembled from deduplicated samples — the controller's power
 // snapshot (Algorithm 1 lines 2–3).
+//
+// Each device gets a dense slot the first time it reports; its reading,
+// stamps and arrival event live in parallel slices at that slot, so an
+// update is one name lookup plus slice stores and readers never rebuild
+// a map unless they ask for a Snapshot.
 type LatestPower struct {
 	mu     sync.Mutex
-	power  map[string]power.Watts
-	at     map[string]time.Time
-	stamps map[string]Stamps
-	event  map[string]uint64
+	slot   map[string]int32
+	power  []power.Watts
+	stamps []Stamps // stamps[i].MeasuredAt orders updates to device i
+	event  []uint64
 	rec    *recorder.Recorder
 	role   string
 }
 
 // NewLatestPower returns an empty view.
 func NewLatestPower() *LatestPower {
-	return &LatestPower{
-		power:  make(map[string]power.Watts),
-		at:     make(map[string]time.Time),
-		stamps: make(map[string]Stamps),
-		event:  make(map[string]uint64),
-	}
+	return &LatestPower{slot: make(map[string]int32)}
 }
 
 // SetRecorder makes every accepted sample emit a sample-arrive event
@@ -239,19 +239,26 @@ func (l *LatestPower) SetRecorder(rec *recorder.Recorder, role string) {
 	l.role = role
 }
 
-// Update records a valid sample (invalid samples are ignored).
+// Update records a valid sample (invalid samples are ignored). A sample
+// no newer than the device's installed one is dropped.
 func (l *LatestPower) Update(s Sample) {
 	if !s.Valid {
 		return
 	}
 	l.mu.Lock()
-	if t, ok := l.at[s.Device]; ok && !s.MeasuredAt.After(t) {
+	i, ok := l.slot[s.Device]
+	if !ok {
+		i = int32(len(l.power))
+		l.slot[s.Device] = i
+		l.power = append(l.power, 0)
+		l.stamps = append(l.stamps, Stamps{})
+		l.event = append(l.event, 0)
+	} else if !s.MeasuredAt.After(l.stamps[i].MeasuredAt) {
 		l.mu.Unlock()
 		return
 	}
-	l.power[s.Device] = s.Power
-	l.at[s.Device] = s.MeasuredAt
-	l.stamps[s.Device] = Stamps{
+	l.power[i] = s.Power
+	l.stamps[i] = Stamps{
 		MeasuredAt:  s.MeasuredAt,
 		PublishedAt: s.PublishedAt,
 		DequeuedAt:  s.DequeuedAt,
@@ -272,8 +279,8 @@ func (l *LatestPower) Update(s Sample) {
 		Cause:   s.Event,
 	})
 	l.mu.Lock()
-	if l.at[s.Device].Equal(s.MeasuredAt) {
-		l.event[s.Device] = seq
+	if l.stamps[i].MeasuredAt.Equal(s.MeasuredAt) {
+		l.event[i] = seq
 	}
 	l.mu.Unlock()
 }
@@ -282,8 +289,11 @@ func (l *LatestPower) Update(s Sample) {
 func (l *LatestPower) Get(device string) (power.Watts, time.Time, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	v, ok := l.power[device]
-	return v, l.at[device], ok
+	i, ok := l.slot[device]
+	if !ok {
+		return 0, time.Time{}, false
+	}
+	return l.power[i], l.stamps[i].MeasuredAt, true
 }
 
 // GetEvent is Get plus the flight-recorder sequence of the sample-arrive
@@ -291,8 +301,11 @@ func (l *LatestPower) Get(device string) (power.Watts, time.Time, bool) {
 func (l *LatestPower) GetEvent(device string) (power.Watts, time.Time, uint64, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	v, ok := l.power[device]
-	return v, l.at[device], l.event[device], ok
+	i, ok := l.slot[device]
+	if !ok {
+		return 0, time.Time{}, 0, false
+	}
+	return l.power[i], l.stamps[i].MeasuredAt, l.event[i], true
 }
 
 // GetStamps returns the ingest timeline of device's installed sample —
@@ -301,17 +314,20 @@ func (l *LatestPower) GetEvent(device string) (power.Watts, time.Time, uint64, b
 func (l *LatestPower) GetStamps(device string) (Stamps, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st, ok := l.stamps[device]
-	return st, ok
+	i, ok := l.slot[device]
+	if !ok {
+		return Stamps{}, false
+	}
+	return l.stamps[i], true
 }
 
 // Snapshot copies the current view.
 func (l *LatestPower) Snapshot() map[string]power.Watts {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make(map[string]power.Watts, len(l.power))
-	for k, v := range l.power {
-		out[k] = v
+	out := make(map[string]power.Watts, len(l.slot))
+	for name, i := range l.slot {
+		out[name] = l.power[i]
 	}
 	return out
 }
@@ -321,11 +337,11 @@ func (l *LatestPower) Snapshot() map[string]power.Watts {
 func (l *LatestPower) Age(device string, now time.Time) (time.Duration, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	t, ok := l.at[device]
+	i, ok := l.slot[device]
 	if !ok {
 		return 0, false
 	}
-	return now.Sub(t), true
+	return now.Sub(l.stamps[i].MeasuredAt), true
 }
 
 // Oldest returns the staleness of the view's least-fresh device at time
@@ -337,8 +353,8 @@ func (l *LatestPower) Oldest(now time.Time) (time.Duration, bool) {
 	defer l.mu.Unlock()
 	var worst time.Duration
 	ok := false
-	for _, t := range l.at {
-		if age := now.Sub(t); !ok || age > worst {
+	for i := range l.stamps {
+		if age := now.Sub(l.stamps[i].MeasuredAt); !ok || age > worst {
 			worst, ok = age, true
 		}
 	}
@@ -349,5 +365,5 @@ func (l *LatestPower) Oldest(now time.Time) (time.Duration, bool) {
 func (l *LatestPower) Count() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.power)
+	return len(l.slot)
 }

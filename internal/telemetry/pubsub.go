@@ -57,15 +57,30 @@ func StampPublished(batch []Sample, at time.Time) {
 // Subscription receives samples for one topic. Drop-oldest semantics keep
 // slow subscribers from blocking the pipeline — stale power data is
 // worthless to Flex, fresh data is everything.
+//
+// The queue is a ring of samples preallocated at Subscribe: a publish
+// copies its batch in under one lock and a receive copies out, so neither
+// side pays a per-sample channel operation. Blocking consumers wait on
+// Ready between drains.
 type Subscription struct {
-	C      chan Sample
 	broker *Broker
 	topic  string
+	ready  chan struct{}
 
 	mu      sync.Mutex
+	ring    []Sample
+	head    int // index of the oldest buffered sample
+	n       int // buffered samples
 	dropped int
 	closed  bool
 }
+
+// Ready returns a channel that receives a signal after a publish buffers
+// samples, and is closed by Close. A consumer that finds the queue empty
+// waits on it, then drains with RecvBatch until RecvBatch returns less
+// than its buffer. Signals coalesce: one pending signal stands for any
+// number of publishes.
+func (s *Subscription) Ready() <-chan struct{} { return s.ready }
 
 // Dropped reports how many samples were discarded because the subscriber
 // lagged.
@@ -75,38 +90,86 @@ func (s *Subscription) Dropped() int {
 	return s.dropped
 }
 
-// RecvBatch drains up to len(buf) buffered samples into buf without
-// blocking and returns how many it copied. It is the batch counterpart of
-// reading s.C one sample at a time: a consumer that fell behind catches up
-// in one call instead of len(buf) scheduler round-trips. A closed
-// subscription drains its remaining buffer, then keeps returning 0.
+// RecvBatch moves up to len(buf) buffered samples, oldest first, into buf
+// without blocking and returns how many it copied. A consumer that fell
+// behind catches up in one call. A closed subscription drains its
+// remaining buffer, then keeps returning 0.
 //
 //flex:hotpath
 func (s *Subscription) RecvBatch(buf []Sample) int {
-	n := 0
-	for n < len(buf) {
-		select {
-		case smp, ok := <-s.C:
-			if !ok {
-				return n
-			}
-			buf[n] = smp
-			n++
-		default:
-			return n
-		}
+	s.mu.Lock()
+	n := len(buf)
+	if s.n < n {
+		n = s.n
 	}
+	k := copy(buf[:n], s.ring[s.head:])
+	copy(buf[k:n], s.ring)
+	s.head = (s.head + n) % len(s.ring)
+	s.n -= n
+	s.mu.Unlock()
 	return n
 }
 
-// Close unsubscribes.
+// push appends batch to the ring, evicting the oldest samples when it
+// overflows, and returns how many it evicted. The caller holds s.mu.
+//
+//flex:hotpath
+func (s *Subscription) push(batch []Sample) int {
+	size := len(s.ring)
+	evicted := 0
+	if len(batch) > size {
+		// The head of an oversized batch would be evicted by its own tail.
+		evicted = s.n + len(batch) - size
+		batch = batch[len(batch)-size:]
+		s.head, s.n = 0, 0
+	} else if over := s.n + len(batch) - size; over > 0 {
+		evicted = over
+		s.head = (s.head + over) % size
+		s.n -= over
+	}
+	tail := (s.head + s.n) % size
+	k := copy(s.ring[tail:], batch)
+	copy(s.ring, batch[k:])
+	s.n += len(batch)
+	return evicted
+}
+
+// consume hands every sample sub receives to fn, oldest first, until fn
+// returns false, stop closes, or sub closes and its buffer is drained.
+func consume(sub *Subscription, stop <-chan struct{}, fn func(Sample) bool) {
+	var buf [64]Sample
+	for {
+		select {
+		case _, open := <-sub.ready:
+			for {
+				k := sub.RecvBatch(buf[:])
+				for _, s := range buf[:k] {
+					if !fn(s) {
+						return
+					}
+				}
+				if k < len(buf) {
+					break
+				}
+			}
+			if !open {
+				return
+			}
+		case <-stop:
+			return
+		}
+	}
+}
+
+// Close unsubscribes and closes Ready. Samples still buffered stay
+// readable through RecvBatch.
 func (s *Subscription) Close() {
 	s.broker.unsubscribe(s.topic, s)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.closed {
 		s.closed = true
-		close(s.C)
+		close(s.ready)
 	}
 }
 
@@ -133,13 +196,18 @@ func NewBroker(name string) *Broker {
 	return &Broker{Name: name, topics: make(map[string][]*Subscription)}
 }
 
-// Subscribe registers a subscriber for topic with the given channel
-// buffer.
+// Subscribe registers a subscriber for topic whose queue holds buffer
+// samples.
 func (b *Broker) Subscribe(topic string, buffer int) *Subscription {
 	if buffer < 1 {
 		buffer = 1
 	}
-	sub := &Subscription{C: make(chan Sample, buffer), broker: b, topic: topic}
+	sub := &Subscription{
+		broker: b,
+		topic:  topic,
+		ready:  make(chan struct{}, 1),
+		ring:   make([]Sample, buffer),
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.topics[topic] = append(b.topics[topic], sub)
@@ -178,11 +246,12 @@ func (b *Broker) Publish(topic string, s Sample) {
 // broker masks).
 //
 // The fan-out runs with b.mu held, iterating the subscriber list in
-// place: every send and drop-recv is non-blocking (drop-oldest), so the
-// critical section is bounded by len(batch)×subscribers and PublishBatch
-// allocates nothing — it sits on the poller and fleet-ingest hot paths.
-// Subscription locks nest under the broker lock (b.mu -> sub.mu); nothing
-// acquires them in the reverse order.
+// place: each subscriber takes the whole batch as one ring copy plus a
+// non-blocking Ready signal, so the critical section is bounded by
+// len(batch)×subscribers and PublishBatch allocates nothing — it sits on
+// the poller and fleet-ingest hot paths. Subscription locks nest under
+// the broker lock (b.mu -> sub.mu); nothing acquires them in the reverse
+// order.
 //
 //flex:hotpath
 func (b *Broker) PublishBatch(topic string, batch []Sample) {
@@ -201,30 +270,21 @@ func (b *Broker) PublishBatch(topic string, batch []Sample) {
 			sub.mu.Unlock()
 			continue
 		}
-		for _, s := range batch {
-			for {
-				select {
-				case sub.C <- s:
-				default:
-					select {
-					case <-sub.C:
-						sub.dropped++
-						dropped++
-						if b.Metrics != nil {
-							b.Metrics.DroppedSamples.Inc()
-						}
-					default:
-					}
-					continue
-				}
-				break
-			}
+		d := sub.push(batch)
+		sub.dropped += d
+		dropped += d
+		select {
+		case sub.ready <- struct{}{}:
+		default:
 		}
 		sub.mu.Unlock()
 	}
 	b.mu.Unlock()
 	if b.Metrics != nil {
 		b.Metrics.BatchPublishes.Inc()
+		if dropped > 0 {
+			b.Metrics.DroppedSamples.Add(uint64(dropped))
+		}
 	}
 	// One aggregated drop event per batch, attributed to the newest sample
 	// and emitted after every lock is released (eventcheck: no emission

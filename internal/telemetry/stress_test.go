@@ -46,9 +46,11 @@ func TestBrokerConcurrencyStress(t *testing.T) {
 				default:
 				}
 				sub := b.Subscribe(TopicUPS, 8)
+				var buf [3]Sample
 				for i := 0; i < 50; i++ {
 					select {
-					case <-sub.C:
+					case <-sub.Ready():
+						sub.RecvBatch(buf[:])
 					case <-time.After(time.Millisecond):
 					}
 				}

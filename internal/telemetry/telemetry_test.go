@@ -162,8 +162,8 @@ func TestBrokerFanoutAndDropOldest(t *testing.T) {
 		t.Fatalf("dropped = %d, want 3", sub.Dropped())
 	}
 	// The two newest survive.
-	s1 := <-sub.C
-	s2 := <-sub.C
+	s1 := recvOne(t, sub)
+	s2 := recvOne(t, sub)
 	if s1.Seq != 3 || s2.Seq != 4 {
 		t.Fatalf("kept seqs %d,%d, want 3,4", s1.Seq, s2.Seq)
 	}
@@ -196,16 +196,12 @@ func TestBrokerDown(t *testing.T) {
 	sub := b.Subscribe("t", 4)
 	b.SetDown(true)
 	b.Publish("t", Sample{Device: "d"})
-	select {
-	case <-sub.C:
+	if _, ok := tryRecv(sub); ok {
 		t.Fatal("downed broker delivered a sample")
-	default:
 	}
 	b.SetDown(false)
 	b.Publish("t", Sample{Device: "d"})
-	select {
-	case <-sub.C:
-	default:
+	if _, ok := tryRecv(sub); !ok {
 		t.Fatal("recovered broker did not deliver")
 	}
 }
@@ -220,13 +216,12 @@ func TestPollerPublishesToAllBrokers(t *testing.T) {
 	s2 := b2.Subscribe(TopicUPS, 4)
 	p.PollOnce()
 	for i, sub := range []*Subscription{s1, s2} {
-		select {
-		case s := <-sub.C:
-			if s.Device != "UPS-1" || s.Power != 500 || !s.Valid {
-				t.Fatalf("broker %d sample = %+v", i, s)
-			}
-		default:
+		s, ok := tryRecv(sub)
+		if !ok {
 			t.Fatalf("broker %d received nothing", i)
+		}
+		if s.Device != "UPS-1" || s.Power != 500 || !s.Valid {
+			t.Fatalf("broker %d sample = %+v", i, s)
 		}
 	}
 	if p.Polls() != 1 {
@@ -242,10 +237,8 @@ func TestPollerDownStopsPublishing(t *testing.T) {
 	sub := b.Subscribe(TopicUPS, 4)
 	p.SetDown(true)
 	p.PollOnce()
-	select {
-	case <-sub.C:
+	if _, ok := tryRecv(sub); ok {
 		t.Fatal("downed poller published")
-	default:
 	}
 }
 
@@ -257,7 +250,7 @@ func TestPollerMarksInvalidOnQuorumLoss(t *testing.T) {
 	p := NewPoller("p1", clk, time.Second, []SamplePublisher{b}, []Target{{Meter: lm, Topic: TopicUPS}})
 	sub := b.Subscribe(TopicUPS, 4)
 	p.PollOnce()
-	s := <-sub.C
+	s := recvOne(t, sub)
 	if s.Valid {
 		t.Fatal("sample should be invalid without quorum")
 	}

@@ -117,11 +117,9 @@ func (s *BrokerServer) handle(conn net.Conn) {
 		sub := s.Broker.Subscribe(hello.Topic, 1024)
 		defer sub.Close()
 		enc := gob.NewEncoder(conn)
-		for smp := range sub.C {
-			if err := enc.Encode(wireSample{Topic: hello.Topic, Sample: smp}); err != nil {
-				return
-			}
-		}
+		consume(sub, nil, func(smp Sample) bool {
+			return enc.Encode(wireSample{Topic: hello.Topic, Sample: smp}) == nil
+		})
 	}
 }
 
