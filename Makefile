@@ -105,12 +105,13 @@ bench-solver:
 	$(GO) test -run '^$$' -bench BenchmarkSolverScaling -benchtime 3x . | $(GO) run ./cmd/benchjson -o BENCH_solver.json
 	@echo wrote BENCH_solver.json
 
-# Records the observability hot-path baseline: tsdb append/seal/query and
-# SLO audit-tick/probe benchmarks across both packages (benchjson tags
-# each record with its package). The Append rows must stay at
-# 0 allocs/op — the sampler runs on the emulation tick.
+# Records the observability hot-path baseline: tsdb append/seal/query,
+# SLO audit-tick/probe and fleet-aggregate benchmarks across the three
+# packages (benchjson tags each record with its package). The Append and
+# WindowAvg rows must stay at 0 allocs/op — the sampler and the auditor
+# run on the emulation tick.
 bench-obs:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./internal/obs/tsdb/ ./internal/obs/slo/ | $(GO) run ./cmd/benchjson -o BENCH_obs.json
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./internal/obs/tsdb/ ./internal/obs/slo/ ./internal/fleet/ | $(GO) run ./cmd/benchjson -o BENCH_obs.json
 	@echo wrote BENCH_obs.json
 
 # Records the online-placement baseline (BenchmarkOnlinePlacement):

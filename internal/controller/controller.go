@@ -102,8 +102,24 @@ type StepOutcome struct {
 type Controller struct {
 	cfg Config
 
-	mu            sync.Mutex
-	acted         map[string]PlannedAction // rack → action we enforced
+	// The planner is built by the first round that plans; a room that
+	// never overdraws never pays for it. planMu guards its scratch and
+	// planActed across a planning pass.
+	plannerOnce sync.Once
+	planner     *Planner
+	planMu      sync.Mutex
+	planActed   []bool // by slot: the acted set a pass plans around
+
+	mu sync.Mutex
+	// acted holds the enforced, unrestored actions in no order; pos[slot]
+	// is the index in acted of the action on the rack at slot, or -1.
+	// pos is allocated by the first enforcement.
+	acted []CommittedAction
+	pos   []int32
+	// committed lists the acted set sorted by rack ID, or is nil after a
+	// change; the next Committed call then builds a new one. A built
+	// list is never written, so readers share it without copying.
+	committed     []CommittedAction
 	steps         int
 	lastEnforceAt time.Time
 	// overdrawSince is when the current overdraw episode was first seen
@@ -148,7 +164,13 @@ func New(cfg Config) *Controller {
 	if cfg.Buffer == 0 {
 		cfg.Buffer = DefaultBuffer(cfg.Topo)
 	}
-	return &Controller{cfg: cfg, acted: make(map[string]PlannedAction)}
+	return &Controller{cfg: cfg, committed: []CommittedAction{}}
+}
+
+// rackPlanner returns the controller's planner, building it on first use.
+func (c *Controller) rackPlanner() *Planner {
+	c.plannerOnce.Do(func() { c.planner = NewPlanner(c.cfg.Topo, c.cfg.Racks, c.cfg.Scenario) })
+	return c.planner
 }
 
 // snapshotUPS builds the UPS power vector from the view; UPSes without a
@@ -231,10 +253,7 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 		}
 		now := c.cfg.Clock.Now()
 		c.mu.Lock()
-		acted := make(map[string]bool, len(c.acted))
-		for id := range c.acted {
-			acted[id] = true
-		}
+		nActed := len(c.acted)
 		newEpisode := c.overdrawSince.IsZero()
 		if newEpisode {
 			c.overdrawSince = now
@@ -320,19 +339,15 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 				Actor:   c.cfg.Name,
 				Cause:   detectSeq,
 				Episode: episode,
-				Aux:     int64(len(acted)),
+				Aux:     int64(nActed),
 			})
 		}
 		planCtx, cancelPlan := context.WithTimeout(ctx, c.cfg.PlanBudget)
-		actions, insufficient, err := PlanContext(planCtx, PlanInput{
-			Topo:      c.cfg.Topo,
-			Racks:     c.cfg.Racks,
+		actions, slots, insufficient, err := c.plan(planCtx, Round{
 			UPSPower:  ups,
 			RackPower: rackPower,
 			Inactive:  inactive,
-			Scenario:  c.cfg.Scenario,
 			Buffer:    c.cfg.Buffer,
-			Acted:     acted,
 		})
 		aborted := err != nil && planCtx.Err() != nil
 		cancelPlan()
@@ -426,7 +441,7 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 			out.Enforced++
 			enforcedAt := c.cfg.Clock.Now()
 			c.mu.Lock()
-			c.acted[a.Rack] = a
+			c.setActedLocked(int(slots[i]), a)
 			c.lastEnforceAt = enforcedAt
 			first := !c.episodeActed
 			c.episodeActed = true
@@ -495,34 +510,29 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 	if n == 0 || len(inactive) > 0 {
 		return out
 	}
-	c.mu.Lock()
-	restoreSet := make([]PlannedAction, 0, len(c.acted))
-	for _, a := range c.acted {
-		restoreSet = append(restoreSet, a)
-	}
-	c.mu.Unlock()
+	committed, _ := c.Committed()
+	restoreSet := append([]CommittedAction(nil), committed...)
 	// Restore cheapest-impact actions first: throttled racks before shut
 	// down ones (lifting a cap is instantaneous and risk-free; a restart
 	// adds inrush and boot time), then by recovered power ascending so
 	// marginal headroom frees the most racks.
 	sort.Slice(restoreSet, func(i, j int) bool {
-		if (restoreSet[i].Kind == Throttle) != (restoreSet[j].Kind == Throttle) {
-			return restoreSet[i].Kind == Throttle
+		a, b := &restoreSet[i].Action, &restoreSet[j].Action
+		if (a.Kind == Throttle) != (b.Kind == Throttle) {
+			return a.Kind == Throttle
 		}
-		if restoreSet[i].Recovered != restoreSet[j].Recovered {
-			return restoreSet[i].Recovered < restoreSet[j].Recovered
+		if a.Recovered != b.Recovered {
+			return a.Recovered < b.Recovered
 		}
-		return restoreSet[i].Rack < restoreSet[j].Rack
+		return a.Rack < b.Rack
 	})
 	proj := append([]power.Watts(nil), ups...)
-	for _, a := range restoreSet {
-		rk := c.rackByID(a.Rack)
-		if rk == nil {
-			continue
-		}
+	cand := make([]power.Watts, len(ups))
+	for _, e := range restoreSet {
+		a := e.Action
 		// Would returning this rack's power keep every UPS safe?
-		cand := append([]power.Watts(nil), proj...)
-		applyRecovery(c.cfg.Topo, cand, nil, rk.Pair, -a.Recovered)
+		copy(cand, proj)
+		applyRecovery(c.cfg.Topo, cand, nil, c.cfg.Racks[e.Slot].Pair, -a.Recovered)
 		safe := true
 		for u := range c.cfg.Topo.UPSes {
 			if cand[u] > c.cfg.Topo.UPSes[u].Capacity-c.cfg.Buffer {
@@ -537,13 +547,70 @@ func (c *Controller) StepContext(ctx context.Context) (out StepOutcome) {
 			out.EnforceErrors++
 			continue
 		}
-		proj = cand
+		proj, cand = cand, proj
 		out.Restored++
 		c.mu.Lock()
-		delete(c.acted, a.Rack)
+		c.clearActedLocked(e.Slot)
 		c.mu.Unlock()
 	}
 	return out
+}
+
+// plan runs one planning pass around the acted set and returns the
+// actions with the slots of their racks. The planner's scratch,
+// including the by-slot acted marks, is reused across rounds.
+func (c *Controller) plan(ctx context.Context, in Round) ([]PlannedAction, []int32, bool, error) {
+	p := c.rackPlanner()
+	c.planMu.Lock()
+	defer c.planMu.Unlock()
+	c.mu.Lock()
+	if len(c.acted) > 0 {
+		if c.planActed == nil {
+			c.planActed = make([]bool, len(c.cfg.Racks))
+		}
+		clear(c.planActed)
+		for _, e := range c.acted {
+			c.planActed[e.Slot] = true
+		}
+		in.Acted = c.planActed
+	}
+	c.mu.Unlock()
+	actions, insufficient, err := p.Plan(ctx, nil, in)
+	return actions, append([]int32(nil), p.Slots()...), insufficient, err
+}
+
+// setActedLocked records a as the action enforced on the rack at slot.
+// Caller holds c.mu.
+func (c *Controller) setActedLocked(slot int, a PlannedAction) {
+	if c.pos == nil {
+		c.pos = make([]int32, len(c.cfg.Racks))
+		for i := range c.pos {
+			c.pos[i] = -1
+		}
+	}
+	if i := c.pos[slot]; i >= 0 {
+		c.acted[i].Action = a
+	} else {
+		c.pos[slot] = int32(len(c.acted))
+		c.acted = append(c.acted, CommittedAction{Slot: slot, Action: a})
+	}
+	c.committed = nil
+}
+
+// clearActedLocked forgets the action on the rack at slot. Caller holds
+// c.mu.
+func (c *Controller) clearActedLocked(slot int) {
+	i := c.pos[slot]
+	if i < 0 {
+		return
+	}
+	last := len(c.acted) - 1
+	c.acted[i] = c.acted[last]
+	c.pos[c.acted[i].Slot] = i
+	c.acted[last] = CommittedAction{}
+	c.acted = c.acted[:last]
+	c.pos[slot] = -1
+	c.committed = nil
 }
 
 // observeStages folds one completed overdraw round into the per-stage
@@ -577,15 +644,6 @@ func nonNeg(d time.Duration) time.Duration {
 	return d
 }
 
-func (c *Controller) rackByID(id string) *ManagedRack {
-	for i := range c.cfg.Racks {
-		if c.cfg.Racks[i].ID == id {
-			return &c.cfg.Racks[i]
-		}
-	}
-	return nil
-}
-
 // Run evaluates repeatedly until ctx is cancelled. Each round runs as
 // StepContext(ctx), so cancellation also aborts an in-flight planning
 // pass.
@@ -616,32 +674,59 @@ func (c *Controller) OpenEpisode() (id uint64, since time.Time, open bool) {
 	return c.episode, c.overdrawSince, !c.overdrawSince.IsZero()
 }
 
-// CommittedActions returns a copy of the actions this controller has
-// enforced and not yet restored, plus the time of the last enforcement.
-// The auditor uses the recovered watts to compute per-UPS headroom under
-// the committed plan while telemetry still predates the enforcement.
-func (c *Controller) CommittedActions() ([]PlannedAction, time.Time) {
+// CommittedAction is one action a controller has enforced and not yet
+// restored, with the slot of its rack: its index in Config.Racks.
+// Controllers built over one rack slice number racks alike, so folds
+// across them dedup by slot.
+type CommittedAction struct {
+	Slot   int
+	Action PlannedAction
+}
+
+// Committed returns the actions this controller has enforced and not yet
+// restored, sorted by rack ID, plus the time of the last enforcement.
+// The slice is built once per change to the acted set and shared, not
+// copied: the controller never writes into it afterwards, so it stays
+// valid and unchanged for the caller, who must not modify it. The
+// auditor and the fleet aggregator fold it every tick.
+func (c *Controller) Committed() ([]CommittedAction, time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]PlannedAction, 0, len(c.acted))
-	for _, a := range c.acted {
-		out = append(out, a)
+	if c.committed == nil {
+		set := append(make([]CommittedAction, 0, len(c.acted)), c.acted...)
+		sort.Slice(set, func(i, j int) bool { return set[i].Action.Rack < set[j].Action.Rack })
+		c.committed = set
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rack < out[j].Rack })
-	return out, c.lastEnforceAt
+	return c.committed, c.lastEnforceAt
+}
+
+// CommittedActions returns a copy of the actions this controller has
+// enforced and not yet restored, sorted by rack ID, plus the time of the
+// last enforcement: the form for callers that keep or modify the list.
+// Per-tick folds read Committed.
+func (c *Controller) CommittedActions() ([]PlannedAction, time.Time) {
+	set, at := c.Committed()
+	out := make([]PlannedAction, len(set))
+	for i, e := range set {
+		out[i] = e.Action
+	}
+	return out, at
 }
 
 // ActedRacks returns the racks this controller has acted on and not yet
-// restored.
+// restored, sorted by ID.
 func (c *Controller) ActedRacks() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.acted))
-	for id := range c.acted {
-		out = append(out, id)
+	set, _ := c.Committed()
+	out := make([]string, len(set))
+	for i, e := range set {
+		out[i] = e.Action.Rack
 	}
 	return out
 }
+
+// Racks returns the controller's rack set (Config.Racks), indexed by
+// slot. Callers must not modify it.
+func (c *Controller) Racks() []ManagedRack { return c.cfg.Racks }
 
 // Steps reports how many evaluation rounds have run.
 func (c *Controller) Steps() int {

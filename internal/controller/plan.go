@@ -112,60 +112,143 @@ func Plan(in PlanInput) (actions []PlannedAction, insufficient bool, err error) 
 // context.Cause(ctx): a truncated plan still sheds real power, so callers
 // should enforce it rather than discard it (shedding less than needed
 // beats shedding nothing inside the overload tolerance window).
+//
+// PlanContext builds a one-shot Planner over in.Racks; callers that plan
+// the same rack set repeatedly keep a Planner instead.
 func PlanContext(ctx context.Context, in PlanInput) (actions []PlannedAction, insufficient bool, err error) {
-	topo := in.Topo
-	if len(in.UPSPower) != len(topo.UPSes) {
-		return nil, false, fmt.Errorf("controller: UPS snapshot has %d entries for %d UPSes", len(in.UPSPower), len(topo.UPSes))
-	}
-	est := append([]power.Watts(nil), in.UPSPower...)
-
-	// Per-workload bookkeeping for impact fractions and PickRack order.
-	type wl struct {
-		name     string
-		category workload.Category
-		fn       impact.Function
-		total    int
-		affected int
-		queue    []*ManagedRack // not yet acted, in priority order
-	}
-	byName := map[string]*wl{}
-	var order []string
-	racks := make([]ManagedRack, len(in.Racks))
-	copy(racks, in.Racks)
-	sort.SliceStable(racks, func(i, j int) bool {
-		if racks[i].Priority != racks[j].Priority {
-			return racks[i].Priority < racks[j].Priority
+	p := NewPlanner(in.Topo, in.Racks, in.Scenario)
+	var acted []bool
+	if len(in.Acted) > 0 {
+		acted = make([]bool, len(in.Racks))
+		for i, r := range in.Racks {
+			acted[i] = in.Acted[r.ID]
 		}
-		return racks[i].ID < racks[j].ID
+	}
+	return p.Plan(ctx, nil, Round{
+		UPSPower:  in.UPSPower,
+		RackPower: in.RackPower,
+		Inactive:  in.Inactive,
+		Buffer:    in.Buffer,
+		Acted:     acted,
 	})
-	for i := range racks {
-		r := &racks[i]
+}
+
+// Planner is Algorithm 1 bound to one rack set. NewPlanner sorts the
+// racks into PickRack order and groups them by workload once; every Plan
+// call then walks that structure with the planner's own scratch, so a
+// controller or auditor that plans the same room over and over keeps one
+// Planner instead of re-sorting its racks per pass. A Planner is not safe
+// for concurrent use.
+type Planner struct {
+	topo  *power.Topology
+	racks []ManagedRack
+	wls   []plannerWorkload // sorted by workload name
+
+	// scratch, reused by every Plan call
+	est    []power.Watts
+	state  []workloadState
+	chosen []int32 // slots of the last call's actions
+}
+
+// plannerWorkload is one workload's static planning data.
+type plannerWorkload struct {
+	name     string
+	category workload.Category // of its first rack in PickRack order
+	fn       impact.Function
+	racks    []int32 // slots in PickRack order: Priority, then ID
+}
+
+// workloadState is one workload's progress through a Plan call.
+type workloadState struct {
+	affected int // racks acted on, before or during this pass
+	next     int // index into plannerWorkload.racks of the queue head
+	// cand is the workload's candidate action (Algorithm 1 lines 5–12)
+	// while ok; it changes only when the workload's own queue advances.
+	cand PlannedAction
+	ok   bool
+}
+
+// Round is one planning pass's live inputs. The topology, rack set and
+// impact functions are the Planner's.
+type Round struct {
+	// UPSPower is the latest measured power per UPS (line 2).
+	UPSPower []power.Watts
+	// RackPower is the latest measured power per rack ID (line 3); racks
+	// without a reading are estimated at their allocated power.
+	RackPower map[string]power.Watts
+	// Inactive marks UPSes currently out of service.
+	Inactive map[power.UPSID]bool
+	// Buffer is the safety margin below each UPS limit.
+	Buffer power.Watts
+	// Acted marks, by slot (index into the Planner's racks), racks
+	// already acted on; nil when none are. They are not candidates again.
+	Acted []bool
+}
+
+// NewPlanner builds the planner for racks in topo, taking each workload's
+// impact function from sc. The planner keeps racks; callers must not
+// modify the slice afterwards.
+func NewPlanner(topo *power.Topology, racks []ManagedRack, sc impact.Scenario) *Planner {
+	p := &Planner{topo: topo, racks: racks}
+	order := make([]int32, len(racks))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := &racks[order[i]], &racks[order[j]]
+		if a.Priority != b.Priority {
+			return a.Priority < b.Priority
+		}
+		return a.ID < b.ID
+	})
+	byName := map[string]int{}
+	for _, s := range order {
+		r := &racks[s]
 		w, ok := byName[r.Workload]
 		if !ok {
-			w = &wl{
+			w = len(p.wls)
+			byName[r.Workload] = w
+			p.wls = append(p.wls, plannerWorkload{
 				name:     r.Workload,
 				category: r.Category,
-				fn:       in.Scenario.For(r.Workload, r.Category),
-			}
-			byName[r.Workload] = w
-			order = append(order, r.Workload)
+				fn:       sc.For(r.Workload, r.Category),
+			})
 		}
-		w.total++
-		if in.Acted[r.ID] {
-			w.affected++
-			continue
-		}
-		if r.Category.Shaveable() {
-			w.queue = append(w.queue, r)
-		}
+		p.wls[w].racks = append(p.wls[w].racks, s)
 	}
-	sort.Strings(order)
+	sort.Slice(p.wls, func(i, j int) bool { return p.wls[i].name < p.wls[j].name })
+	p.state = make([]workloadState, len(p.wls))
+	return p
+}
 
-	rackPower := func(r *ManagedRack) power.Watts {
-		if p, ok := in.RackPower[r.ID]; ok {
-			return p
+// Slots returns the slots (indexes into the planner's racks) of the
+// actions the last Plan call appended, in order. The slice is the
+// planner's scratch, valid until the next Plan call.
+func (p *Planner) Slots() []int32 { return p.chosen }
+
+// Plan runs Algorithm 1 (see PlanContext) for one round and appends the
+// chosen actions to dst, returning the extended slice. It allocates
+// nothing once its scratch has grown, beyond what appending to dst
+// needs.
+func (p *Planner) Plan(ctx context.Context, dst []PlannedAction, in Round) (actions []PlannedAction, insufficient bool, err error) {
+	topo := p.topo
+	p.chosen = p.chosen[:0]
+	if len(in.UPSPower) != len(topo.UPSes) {
+		return dst, false, fmt.Errorf("controller: UPS snapshot has %d entries for %d UPSes", len(in.UPSPower), len(topo.UPSes))
+	}
+	p.est = append(p.est[:0], in.UPSPower...)
+	est := p.est
+	for i := range p.wls {
+		st := &p.state[i]
+		*st = workloadState{}
+		if in.Acted != nil {
+			for _, s := range p.wls[i].racks {
+				if in.Acted[s] {
+					st.affected++
+				}
+			}
 		}
-		return r.Allocated // conservative: assume full draw
+		p.candidate(i, in)
 	}
 
 	overLimit := func() bool {
@@ -180,48 +263,23 @@ func PlanContext(ctx context.Context, in PlanInput) (actions []PlannedAction, in
 		return false
 	}
 
+	actions = dst
 	for overLimit() {
 		if ctx.Err() != nil {
 			return actions, true, context.Cause(ctx)
 		}
-		// Build the candidate set C (lines 5–12): one rack per workload.
-		type candidate struct {
-			w   *wl
-			r   *ManagedRack
-			act PlannedAction
-		}
-		var cands []candidate
-		for _, name := range order {
-			w := byName[name]
-			if len(w.queue) == 0 {
+		// Select argmin impact over the candidate set C (line 13); ties:
+		// max recovered, then ID. Workloads are visited in name order.
+		best := -1
+		for i := range p.state {
+			if !p.state[i].ok {
 				continue
 			}
-			r := w.queue[0]
-			p := rackPower(r)
-			var act PlannedAction
-			switch w.category {
-			case workload.SoftwareRedundant:
-				act = PlannedAction{Rack: r.ID, Workload: name, Kind: Shutdown, Recovered: p}
-			case workload.NonRedundantCapable:
-				rec := p - r.FlexPower
-				if rec < 0 {
-					rec = 0
-				}
-				act = PlannedAction{Rack: r.ID, Workload: name, Kind: Throttle, Recovered: rec, CapTarget: r.FlexPower}
-			default:
+			if best < 0 {
+				best = i
 				continue
 			}
-			frac := float64(w.affected+1) / float64(w.total)
-			act.Impact = w.fn.At(frac)
-			cands = append(cands, candidate{w: w, r: r, act: act})
-		}
-		if len(cands) == 0 {
-			return actions, true, nil // exhausted all shaveable racks
-		}
-		// Select argmin impact (line 13); ties: max recovered, then ID.
-		best := 0
-		for i := 1; i < len(cands); i++ {
-			a, b := cands[i].act, cands[best].act
+			a, b := &p.state[i].cand, &p.state[best].cand
 			switch {
 			case a.Impact < b.Impact-1e-12:
 				best = i
@@ -231,14 +289,58 @@ func PlanContext(ctx context.Context, in PlanInput) (actions []PlannedAction, in
 				best = i
 			}
 		}
-		chosen := cands[best]
-		actions = append(actions, chosen.act)
-		chosen.w.affected++
-		chosen.w.queue = chosen.w.queue[1:]
+		if best < 0 {
+			return actions, true, nil // exhausted all shaveable racks
+		}
+		st := &p.state[best]
+		chosen := st.cand
+		slot := p.wls[best].racks[st.next]
+		actions = append(actions, chosen)
+		p.chosen = append(p.chosen, slot)
+		st.affected++
+		st.next++
+		p.candidate(best, in)
 		// Update the UPS estimates with the rack's share (line 15).
-		applyRecovery(topo, est, in.Inactive, chosen.r.Pair, chosen.act.Recovered)
+		applyRecovery(topo, est, in.Inactive, p.racks[slot].Pair, chosen.Recovered)
 	}
 	return actions, false, nil
+}
+
+// candidate advances workload i's queue head past acted and
+// non-shaveable racks and computes its candidate action (lines 5–12):
+// one rack per workload, picked in PickRack order.
+func (p *Planner) candidate(i int, in Round) {
+	w, st := &p.wls[i], &p.state[i]
+	st.ok = false
+	for st.next < len(w.racks) {
+		r := &p.racks[w.racks[st.next]]
+		if (in.Acted == nil || !in.Acted[w.racks[st.next]]) && r.Category.Shaveable() {
+			break
+		}
+		st.next++
+	}
+	if st.next == len(w.racks) {
+		return
+	}
+	r := &p.racks[w.racks[st.next]]
+	pw, ok := in.RackPower[r.ID]
+	if !ok {
+		pw = r.Allocated // conservative: assume full draw
+	}
+	switch w.category {
+	case workload.SoftwareRedundant:
+		st.cand = PlannedAction{Rack: r.ID, Workload: w.name, Kind: Shutdown, Recovered: pw}
+	case workload.NonRedundantCapable:
+		rec := pw - r.FlexPower
+		if rec < 0 {
+			rec = 0
+		}
+		st.cand = PlannedAction{Rack: r.ID, Workload: w.name, Kind: Throttle, Recovered: rec, CapTarget: r.FlexPower}
+	default:
+		return
+	}
+	st.cand.Impact = w.fn.At(float64(st.affected+1) / float64(len(w.racks)))
+	st.ok = true
 }
 
 // applyRecovery subtracts a rack's recovered power from the UPS estimates

@@ -144,7 +144,7 @@ func (f *Fleet) AggregateOnce(now time.Time) Snapshot {
 	f.hasSnap = true
 	f.mu.Unlock()
 	if f.metrics != nil {
-		f.metrics.export(snap)
+		f.metrics.export(snap, shards)
 	}
 	return snap
 }

@@ -114,6 +114,10 @@ type Fleet struct {
 	tracer  *obs.Tracer
 	stages  *obs.StageMetrics
 
+	// fold is AggregateOnce's committed-headroom scratch, shared by the
+	// shards in turn.
+	fold slotFold
+
 	mu      sync.Mutex
 	shards  map[string]*Shard
 	order   []string
@@ -178,6 +182,7 @@ func (f *Fleet) AddRoom(rc RoomConfig) (*Shard, error) {
 	f.shards[rc.Name] = s
 	f.order = append(f.order, rc.Name)
 	if f.metrics != nil {
+		s.gauges = f.metrics.bindRoom(rc.Name)
 		f.metrics.Rooms.Set(float64(len(f.order)))
 	}
 	return s, nil

@@ -61,18 +61,35 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// export publishes one snapshot to the registry.
-func (m *Metrics) export(snap Snapshot) {
+// roomGauges are one room's per-room gauges, bound once when the room
+// joins so a fold sets them without a label lookup.
+type roomGauges struct {
+	state, stranded, dropped *obs.Gauge
+}
+
+// bindRoom binds the per-room gauge children for room.
+func (m *Metrics) bindRoom(room string) roomGauges {
+	return roomGauges{
+		state:    m.RoomState.With(room),
+		stranded: m.RoomStrandedWatts.With(room),
+		dropped:  m.RoomDropped.With(room),
+	}
+}
+
+// export publishes one snapshot to the registry; shards are the
+// snapshot's rooms, in order.
+func (m *Metrics) export(snap Snapshot, shards []*Shard) {
 	m.Ready.Set(float64(snap.Ready))
 	m.State.Set(float64(snap.State))
 	m.StrandedWatts.Set(float64(snap.StrandedPower))
 	m.CommittedHeadroomWatts.Set(float64(snap.CommittedHeadroom))
 	m.DroppedSamples.Set(float64(snap.DroppedSamples))
 	m.Aggregations.Inc()
-	for _, room := range snap.Rooms {
-		m.RoomState.With(room.Name).Set(float64(room.State))
-		m.RoomStrandedWatts.With(room.Name).Set(float64(room.Stranded))
-		m.RoomDropped.With(room.Name).Set(float64(room.Dropped))
+	for i, room := range snap.Rooms {
+		g := shards[i].gauges
+		g.state.Set(float64(room.State))
+		g.stranded.Set(float64(room.Stranded))
+		g.dropped.Set(float64(room.Dropped))
 	}
 	for _, st := range snap.Stages {
 		m.StageP50.With(st.Stage).Set(st.P50)

@@ -28,6 +28,7 @@ type Shard struct {
 	rackView  *telemetry.LatestPower
 	ctls      []*controller.Controller
 	buf       []telemetry.Sample
+	gauges    roomGauges // bound by AddRoom when the fleet has metrics
 
 	mu       sync.Mutex
 	running  bool
@@ -312,21 +313,65 @@ func (s *Shard) Controllers() []*controller.Controller { return s.ctls }
 // committedHeadroom is the power the shard's enforced-and-unrestored
 // actions have recovered. Multi-primary instances act idempotently on the
 // same racks, so the fold dedups by rack (taking the largest claim) rather
-// than summing across primaries.
+// than summing across primaries. The primaries share the room's rack
+// slice, so a rack is its slot; the fold reads each primary's committed
+// set in place and dedups through the fleet's slot scratch.
 func (s *Shard) committedHeadroom() (watts float64, racks int) {
-	byRack := make(map[string]float64)
+	fold := &s.fleet.fold
+	fold.mu.Lock()
+	defer fold.mu.Unlock()
+	fold.reset(len(s.cfg.Racks))
 	for _, c := range s.ctls {
-		actions, _ := c.CommittedActions()
-		for _, a := range actions {
-			if w := float64(a.Recovered); w > byRack[a.Rack] {
-				byRack[a.Rack] = w
-			}
+		set, _ := c.Committed()
+		for _, e := range set {
+			fold.claim(e.Slot, float64(e.Action.Recovered))
 		}
 	}
-	for _, w := range byRack {
-		watts += w
+	for _, slot := range fold.slots {
+		watts += fold.max[slot]
 	}
-	return watts, len(byRack)
+	return watts, len(fold.slots)
+}
+
+// slotFold is the aggregator's reusable scratch for folding committed
+// actions by rack slot: the largest claim per slot and the slots in
+// first-claim order. One instance serves every shard in turn; mu keeps
+// concurrent AggregateOnce calls (the aggregator loop, Snapshot before
+// the first fold, the /fleet handler) from sharing it mid-fold.
+type slotFold struct {
+	mu    sync.Mutex
+	stamp []uint32 // per slot: the fold generation that claimed it
+	gen   uint32
+	max   []float64
+	slots []int
+}
+
+// reset starts a fold over n slots.
+func (f *slotFold) reset(n int) {
+	if len(f.stamp) < n {
+		f.stamp = make([]uint32, n)
+		f.max = make([]float64, n)
+		f.gen = 0
+	}
+	f.gen++
+	if f.gen == 0 {
+		clear(f.stamp)
+		f.gen = 1
+	}
+	f.slots = f.slots[:0]
+}
+
+// claim records w for slot, keeping the largest claim.
+func (f *slotFold) claim(slot int, w float64) {
+	if f.stamp[slot] != f.gen {
+		f.stamp[slot] = f.gen
+		f.max[slot] = w
+		f.slots = append(f.slots, slot)
+		return
+	}
+	if w > f.max[slot] {
+		f.max[slot] = w
+	}
 }
 
 // openEpisode reports whether any primary has an open overdraw episode

@@ -27,6 +27,9 @@ type probeResult struct {
 func (a *Auditor) probeLocked(ctx context.Context, now time.Time, upsPower []power.Watts) probeResult {
 	b := a.b
 	var res probeResult
+	// One action buffer serves every UPS of the round; it is dropped
+	// with the round, so idle auditors hold no plan between probes.
+	var plan []controller.PlannedAction
 	var start time.Time
 	if b.Clock != nil {
 		start = b.Clock.Now()
@@ -61,17 +64,20 @@ func (a *Auditor) probeLocked(ctx context.Context, now time.Time, upsPower []pow
 		if excess <= 0 {
 			continue // this failure needs no shedding at current load
 		}
+		if a.planner == nil {
+			a.planner = controller.NewPlanner(b.Topo, b.Racks, b.Scenario)
+		}
+		clear(a.probeDown)
+		a.probeDown[power.UPSID(u)] = true
 		planCtx, cancel := context.WithTimeout(ctx, a.cfg.ProbeBudget)
-		actions, insufficient, err := controller.PlanContext(planCtx, controller.PlanInput{
-			Topo:      b.Topo,
-			Racks:     b.Racks,
+		actions, insufficient, err := a.planner.Plan(planCtx, plan[:0], controller.Round{
 			UPSPower:  failover,
 			RackPower: rackPower,
-			Inactive:  map[power.UPSID]bool{power.UPSID(u): true},
-			Scenario:  b.Scenario,
+			Inactive:  a.probeDown,
 			Buffer:    b.Buffer,
 		})
 		cancel()
+		plan = actions
 		if err == nil && !insufficient {
 			continue
 		}

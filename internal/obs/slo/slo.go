@@ -209,8 +209,26 @@ type Auditor struct {
 	probeFeas  *tsdb.Series
 	probeLat   *tsdb.Series
 
-	// rack → pair mapping for committed-plan headroom attribution.
-	rackPair map[string]power.PDUPairID
+	// allocated is the sum of the bound racks' allocated power.
+	allocated power.Watts
+	// ctlSlot maps each controller's rack slots to Bindings.Racks
+	// indexes (the last rack with the ID, -1 when absent), so the
+	// committed-plan fold dedups racks across primaries by index; nil
+	// for a controller whose racks are Bindings.Racks in order.
+	ctlSlot [][]int32
+	// planner is the what-if probe's Algorithm 1 over Bindings.Racks,
+	// built by the first probe round.
+	planner *controller.Planner
+
+	// Per-tick scratch, guarded by mu: UPS readings, pending recovery,
+	// the probe's inactive set, and the fold's seen stamps.
+	upsPower  []power.Watts
+	upsAt     []time.Time
+	upsOK     []bool
+	pending   []power.Watts
+	probeDown map[power.UPSID]bool
+	seen      []uint32
+	seenStamp uint32
 
 	lastEpisode uint64 // newest episode ID observed open
 	budgetRatio float64
@@ -304,10 +322,40 @@ func (a *Auditor) Bind(b Bindings) {
 	defer a.mu.Unlock()
 	a.b = b
 	a.bound = true
-	a.rackPair = make(map[string]power.PDUPairID, len(b.Racks))
+	a.allocated = 0
 	for _, r := range b.Racks {
-		a.rackPair[r.ID] = r.Pair
+		a.allocated += r.Allocated
 	}
+	a.ctlSlot = make([][]int32, len(b.Controllers))
+	var index map[string]int32
+	for ci, c := range b.Controllers {
+		racks := c.Racks()
+		if sameRackIDs(racks, b.Racks) {
+			continue
+		}
+		if index == nil {
+			index = make(map[string]int32, len(b.Racks))
+			for i, r := range b.Racks {
+				index[r.ID] = int32(i)
+			}
+		}
+		a.ctlSlot[ci] = make([]int32, len(racks))
+		for s, r := range racks {
+			i, ok := index[r.ID]
+			if !ok {
+				i = -1
+			}
+			a.ctlSlot[ci][s] = i
+		}
+	}
+	a.planner = nil
+	nUPS := len(b.Topo.UPSes)
+	a.upsPower = make([]power.Watts, nUPS)
+	a.upsAt = make([]time.Time, nUPS)
+	a.upsOK = make([]bool, nUPS)
+	a.pending = make([]power.Watts, nUPS)
+	a.probeDown = make(map[power.UPSID]bool, 1)
+	a.seen = make([]uint32, len(b.Racks))
 	a.headroom = a.headroom[:0]
 	for _, u := range b.Topo.UPSes {
 		a.headroom = append(a.headroom, a.cfg.Store.Series(
@@ -358,10 +406,12 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 	b := a.b
 
 	// ---- derived safety series -------------------------------------
-	upsPower := make([]power.Watts, len(b.Topo.UPSes))
+	upsPower := a.upsPower
 	var upsSeen int
 	for u := range b.Topo.UPSes {
-		if v, _, ok := b.UPSView.Get(b.Topo.UPSes[u].Name); ok {
+		v, at, ok := b.UPSView.Get(b.Topo.UPSes[u].Name)
+		a.upsAt[u], a.upsOK[u] = at, ok
+		if ok {
 			upsPower[u] = v
 			upsSeen++
 		} else {
@@ -377,11 +427,7 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 		a.headroom[u].Append(now, float64(head))
 	}
 
-	var allocated power.Watts
-	for _, r := range b.Racks {
-		allocated += r.Allocated
-	}
-	strand := b.AllocatablePower - allocated
+	strand := b.AllocatablePower - a.allocated
 	if strand < 0 {
 		strand = 0
 	}
@@ -554,38 +600,61 @@ func (a *Auditor) Tick(ctx context.Context, now time.Time) {
 // reflect yet. Half of each action's recovery attributes to each UPS of
 // the rack's pair (Eq. 2's split), matching applyRecovery in the
 // planner. Deduped by rack across multi-primary controllers (actions
-// are idempotent; counting a rack twice would overstate headroom).
+// are idempotent; counting a rack twice would overstate headroom): the
+// first controller to claim a rack index wins. It reads each
+// controller's committed set in place and this tick's UPS readings, and
+// returns the auditor's scratch vector.
 func (a *Auditor) pendingRecoveryLocked() []power.Watts {
 	b := a.b
-	out := make([]power.Watts, len(b.Topo.UPSes))
-	seen := make(map[string]bool)
-	for _, c := range b.Controllers {
-		actions, lastEnforce := c.CommittedActions()
+	out := a.pending
+	clear(out)
+	a.seenStamp++
+	if a.seenStamp == 0 {
+		clear(a.seen)
+		a.seenStamp = 1
+	}
+	for ci, c := range b.Controllers {
+		set, lastEnforce := c.Committed()
 		if lastEnforce.IsZero() {
 			continue
 		}
-		for _, act := range actions {
-			if seen[act.Rack] {
+		xlate := a.ctlSlot[ci]
+		for _, e := range set {
+			i := int32(e.Slot)
+			if xlate != nil {
+				i = xlate[i]
+			}
+			if i < 0 || a.seen[i] == a.seenStamp {
 				continue
 			}
-			seen[act.Rack] = true
-			pair, ok := a.rackPair[act.Rack]
-			if !ok {
-				continue
-			}
-			p := b.Topo.Pairs[pair]
+			a.seen[i] = a.seenStamp
+			p := b.Topo.Pairs[b.Racks[i].Pair]
 			for _, uid := range p.UPSes {
 				// Only credit the recovery while the view's reading
 				// predates the enforcement; once a newer sample lands,
 				// the measurement itself reflects the shed power.
-				if _, at, ok := b.UPSView.Get(b.Topo.UPSes[uid].Name); ok && at.After(lastEnforce) {
+				if a.upsOK[uid] && a.upsAt[uid].After(lastEnforce) {
 					continue
 				}
-				out[uid] += act.Recovered / 2
+				out[uid] += e.Action.Recovered / 2
 			}
 		}
 	}
 	return out
+}
+
+// sameRackIDs reports whether a and b list the same rack IDs in the same
+// order.
+func sameRackIDs(a, b []controller.ManagedRack) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID {
+			return false
+		}
+	}
+	return true
 }
 
 // Objective is the exported snapshot of one SLO for /slo.

@@ -193,30 +193,87 @@ func aggValue(b bucket, a Agg) float64 {
 // number of contributing observations, preferring raw points and falling
 // back to the 10s rollup when the raw ring no longer covers the window's
 // start. The SLO burn-rate engine evaluates its windows through this.
+//
+// It reads the ring and the rollup tier in place under the series lock
+// and allocates nothing. While the live raw points are in time order
+// (no out-of-order Append among them) it binary-searches both ends of
+// the window and sums the run between them; otherwise it scans every
+// live point. Both add the window's points in append order, so the sum
+// is the same either way. Rollup buckets are always in start order, so
+// the fallback binary-searches the window start the same way.
+//
+//flex:hotpath
 func (s *Series) WindowAvg(from, to time.Time) (avg float64, count uint64) {
-	raw := s.Raw()
-	if len(raw) > 0 && !raw[0].Time.After(from) {
-		var sum float64
-		for _, p := range raw {
-			if p.Time.Before(from) || p.Time.After(to) {
-				continue
-			}
-			sum += p.Value
-			count++
-		}
-		if count > 0 {
-			return sum / float64(count), count
-		}
-		return 0, 0
-	}
+	s.mu.Lock()
 	var sum float64
-	for _, b := range s.Buckets(Tier10s) {
-		if b.Start.Before(from) || b.Start.After(to) || b.Count == 0 {
-			continue
+	if s.n > 0 && !s.raw[s.slot(0)].Time.After(from) {
+		if s.unsorted == 0 {
+			// The window is the run [lo, hi): lo is the first live point
+			// not before from, hi the first after to.
+			lo, hi := 0, s.n
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if s.raw[s.slot(mid)].Time.Before(from) {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			hi = s.n
+			for end := lo; end < hi; {
+				mid := int(uint(end+hi) >> 1)
+				if s.raw[s.slot(mid)].Time.After(to) {
+					hi = mid
+				} else {
+					end = mid + 1
+				}
+			}
+			for i, j := lo, s.slot(lo); i < hi; i++ {
+				sum += s.raw[j].Value
+				if j++; j == len(s.raw) {
+					j = 0
+				}
+			}
+			count = uint64(hi - lo)
+		} else {
+			for i := 0; i < s.n; i++ {
+				p := &s.raw[s.slot(i)]
+				if p.Time.Before(from) || p.Time.After(to) {
+					continue
+				}
+				sum += p.Value
+				count++
+			}
 		}
-		sum += b.Sum
-		count += b.Count
+	} else {
+		// Sealed buckets start strictly later than their predecessors
+		// and before the open one, so the window is again one run.
+		ti := &s.tier[0]
+		lo, hi := 0, ti.n
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if time.Unix(0, ti.at(mid).start).Before(from) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		for i := lo; i < ti.n; i++ {
+			b := ti.at(i)
+			if time.Unix(0, b.start).After(to) {
+				break
+			}
+			sum += b.sum
+			count += b.count
+		}
+		if ti.cur.start != startUnset {
+			if start := time.Unix(0, ti.cur.start); !start.Before(from) && !start.After(to) {
+				sum += ti.cur.sum
+				count += ti.cur.count
+			}
+		}
 	}
+	s.mu.Unlock()
 	if count == 0 {
 		return 0, 0
 	}

@@ -122,10 +122,17 @@ type Series struct {
 
 	mu   sync.Mutex
 	raw  []Point
-	n    int // live raw points
-	next int // ring slot the next point lands in
-	last int64
-	tier [numTiers]tier
+	n    int   // live raw points
+	next int   // ring slot the next point lands in
+	last int64 // UnixNano of the newest point
+	// unsorted counts the appends left until the newest out-of-order
+	// point's predecessor leaves the ring; while it is zero the live raw
+	// points are in time order and WindowAvg can binary-search them.
+	// Order is judged on wall-clock UnixNano; WindowAvg compares with
+	// Time.Before/After, which agree unless both sides carry monotonic
+	// readings that disagree with their wall clocks.
+	unsorted int
+	tier     [numTiers]tier
 }
 
 func newSeries(name string, o Options) *Series {
@@ -158,6 +165,13 @@ func (s *Series) Name() string { return s.name }
 func (s *Series) Append(t time.Time, v float64) {
 	tn := t.UnixNano()
 	s.mu.Lock()
+	if s.n > 0 && tn < s.last {
+		// The pair (newest, this) stays out of order until the newest
+		// point is evicted, len(raw)-1 appends from now.
+		s.unsorted = len(s.raw) - 1
+	} else if s.unsorted > 0 {
+		s.unsorted--
+	}
 	s.raw[s.next] = Point{Time: t, Value: v}
 	s.next++
 	if s.next == len(s.raw) {
@@ -217,17 +231,23 @@ func mod(a, b int64) int64 {
 	return m
 }
 
+// slot returns the ring slot of the i-th live raw point in append order
+// (0 = oldest). Caller holds s.mu.
+func (s *Series) slot(i int) int {
+	j := s.next - s.n + i
+	if j < 0 {
+		j += len(s.raw)
+	}
+	return j
+}
+
 // Raw returns a copy of the retained raw points in append order.
 func (s *Series) Raw() []Point {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Point, s.n)
-	start := s.next - s.n
-	if start < 0 {
-		start += len(s.raw)
-	}
-	for i := 0; i < s.n; i++ {
-		out[i] = s.raw[(start+i)%len(s.raw)]
+	for i := range out {
+		out[i] = s.raw[s.slot(i)]
 	}
 	return out
 }
@@ -252,17 +272,22 @@ func (ti *tier) snapshot() []Bucket {
 		open = 1
 	}
 	out := make([]Bucket, 0, ti.n+open)
-	start := ti.next - ti.n
-	if start < 0 {
-		start += len(ti.ring)
-	}
 	for i := 0; i < ti.n; i++ {
-		out = append(out, ti.ring[(start+i)%len(ti.ring)].export())
+		out = append(out, ti.at(i).export())
 	}
 	if open == 1 {
 		out = append(out, ti.cur.export())
 	}
 	return out
+}
+
+// at returns the i-th sealed bucket, oldest first.
+func (ti *tier) at(i int) *bucket {
+	j := ti.next - ti.n + i
+	if j < 0 {
+		j += len(ti.ring)
+	}
+	return &ti.ring[j]
 }
 
 func (b bucket) export() Bucket {
@@ -282,11 +307,7 @@ func (s *Series) Last() (Point, bool) {
 	if s.n == 0 {
 		return Point{}, false
 	}
-	i := s.next - 1
-	if i < 0 {
-		i += len(s.raw)
-	}
-	return s.raw[i], true
+	return s.raw[s.slot(s.n-1)], true
 }
 
 // Store holds the named series. Series creation is a cold-path
